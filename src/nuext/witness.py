@@ -186,7 +186,7 @@ def _certify_radius_one(m: Matrix, construction: str) -> None:
 
 
 def _beta_magnitude(alpha_mod: float, cap: float, avoid: float | None = None) -> float:
-    """Half the largest s with alpha_mod + s < cap, found by bisection.
+    """Half the room alpha_mod + s < cap leaves: s = (cap - alpha_mod) / 2.
 
     If avoid is given, nudge s so alpha_mod + s stays away from it (a
     measure-zero degenerate magnitude).
@@ -194,14 +194,7 @@ def _beta_magnitude(alpha_mod: float, cap: float, avoid: float | None = None) ->
     slack = cap - alpha_mod
     if slack <= 0:
         raise NoFeasibleBetaError("no room for a perturbation in this region")
-    lo, hi = 0.0, slack
-    while hi - lo > 1e-10 * max(1.0, cap):
-        mid = 0.5 * (lo + hi)
-        if alpha_mod + mid < cap:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * lo
+    s = 0.5 * slack
     if s <= 0:
         raise NoFeasibleBetaError("feasible perturbation collapsed to zero")
     if avoid is not None:

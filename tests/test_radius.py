@@ -50,8 +50,69 @@ def test_maximizer_basis_example():
 def test_degenerate_top_eigenspace_scalar():
     rep = radius_sweep(2.0 * np.eye(3, dtype=complex))
     assert abs(rep.value - 2.0) <= 1e-12
-    assert maximizer_contains_on_basis is not None
-    assert len(rep.maximizers) >= 3  # whole sphere attains; basis reported
+    xs = np.array(rep.maximizers)
+    assert len(xs) >= 3  # whole sphere attains; a basis is reported
+    assert np.linalg.norm(xs.conj() @ xs.T - np.eye(len(xs))) <= 1e-12
+    for x in rep.maximizers:
+        assert abs(abs(np.vdot(x, 2.0 * x)) - 2.0) <= 1e-12
+
+
+def _johnson_enclosure(t, points=4096):
+    """Inner and circumscribed polygon bounds on w(T) (C. R. Johnson, SIAM J.
+    Numer. Anal. 1978): max_k |<T x_k, x_k>| <= w <= max_k h(theta_k) / cos(pi/N)."""
+    re = 0.5 * (t + t.conj().T)
+    im = (t - t.conj().T) / 2j
+    th = 2.0 * math.pi * np.arange(points) / points
+    hs = np.cos(th)[:, None, None] * re - np.sin(th)[:, None, None] * im
+    vals, vecs = np.linalg.eigh(hs)
+    xs = vecs[:, :, -1]
+    inner = np.abs(np.einsum("ki,ij,kj->k", xs.conj(), t, xs))
+    return float(np.max(inner)), float(np.max(vals[:, -1])) / math.cos(math.pi / points)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [2.0, 1.0 + 2.0j, -3.0j, 1e-5 * np.exp(0.3j)])
+def test_scalar_value_exact(n, c):
+    assert abs(radius_value(c * np.eye(n, dtype=complex)) - abs(c)) <= 1e-15 * abs(c)
+
+
+def _quartic(a, phase):
+    # 2|alpha|^2 + a - 1 = 0: radius 1, with a quartic peak of the support
+    alpha = math.sqrt(0.5 * (1.0 - a)) * np.exp(1j * phase)
+    return np.array([[1.0, alpha], [-np.conj(alpha), a]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "t, w",
+    [
+        (np.array([[1, 1j], [1j, -1]], dtype=complex), 1.0),
+        (np.array([[0, 2j], [0, 0]], dtype=complex), 1.0),
+        (np.diag([1.0, 1.0], 1).astype(complex), math.sqrt(0.5)),
+        (_quartic(-0.6, 0.4), 1.0),
+        (_quartic(0.0, 2.0), 1.0),
+        (_quartic(0.7, -1.1), 1.0),
+    ],
+    ids=["nil-disk", "nilpotent", "jordan3", "quartic-a-0.6", "quartic-a0", "quartic-a0.7"],
+)
+def test_flat_and_quartic_supports(t, w):
+    assert abs(radius_value(t) - w) <= 1e-12
+    rep = radius_sweep(t)
+    assert abs(rep.value - w) <= 1e-12
+    assert rep.maximizers
+    for x in rep.maximizers:
+        assert abs(abs(np.vdot(x, t @ x)) - w) <= 1e-10
+
+
+def test_value_inside_johnson_enclosure():
+    rng = np.random.default_rng(1978)
+    for n in range(1, 17):
+        for _ in range(3):
+            t = random_complex_matrix(n, rng) * math.exp(rng.uniform(-2.0, 2.0))
+            lo, hi = _johnson_enclosure(t)
+            w = radius_value(t)
+            slack = 1e-12 * max(1.0, hi)
+            assert lo - slack <= w <= hi + slack
+            assert radius_sweep(t).value == w
 
 
 def test_sweep_config_validation():
