@@ -35,7 +35,6 @@ from .linalg import (
     is_normal,
     is_self_adjoint,
     normal_eigen,
-    operator_norm,
     real_part,
     svd,
 )
@@ -387,10 +386,10 @@ def classify_block_upper(s: Matrix, tol: float = TIGHT) -> Verdict | None:
     if pat is None:
         return None
     lam1, lam2, a_block = pat
-    c = operator_norm(a_block)
+    sv = svd(a_block)
+    c = float(sv.sigma[0])
     if c <= 1e-9:
         return None  # effectively diagonal, earlier rules own this
-    sv = svd(a_block)
     smin = float(np.min(sv.sigma))
     if smin >= c - BAND * max(1.0, c):
         if smin >= c - tol * max(1.0, c):

@@ -13,10 +13,6 @@ class NotHermitianError(NuextError):
     pass
 
 
-class NotUnitaryError(NuextError):
-    pass
-
-
 class NotNormalError(NuextError):
     pass
 
@@ -26,10 +22,6 @@ class NotSelfAdjointError(NuextError):
 
 
 class NotNormaloidError(NuextError):
-    pass
-
-
-class DependentInputError(NuextError):
     pass
 
 

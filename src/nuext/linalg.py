@@ -1,9 +1,9 @@
 """Small dense complex linear algebra: decompositions and predicates.
 
 Matrices are plain complex numpy arrays; everything here is pure and
-value-semantic.  The Hermitian eigensolver is a cyclic Jacobi iteration
-(closed form for n <= 2), the SVD is built on top of it.  Target sizes
-are n <= 16, so simplicity wins over BLAS-grade generality.
+value-semantic.  Eigensystems and SVDs come from LAPACK (np.linalg.eigh and
+np.linalg.svd); the wrappers fix the conventions the rest of the package
+relies on: descending order, vectors as columns, and a Hermitian check.
 """
 from __future__ import annotations
 
@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DependentInputError,
-    DimensionMismatchError,
-    InternalInconsistencyError,
-    NotHermitianError,
-    NotNormalError,
-    NotUnitaryError,
-)
+from .errors import DimensionMismatchError, NotHermitianError, NotNormalError
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -34,14 +27,6 @@ def as_matrix(m) -> Matrix:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    return a
-
-
-def as_unit_vector(v) -> Vector:
-    a = np.array(v, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ValueError(f"vector norm {nrm} is not 1 within 1e-12")
     return a
 
 
@@ -83,59 +68,9 @@ class SvdSystem:
     V: Matrix
 
 
-def _eigh_2x2(h: Matrix) -> EigenSystem:
-    # closed form; exact up to rounding, no iteration
-    a = h[0, 0].real
-    b = h[1, 1].real
-    q = complex(h[0, 1])
-    half = 0.5 * (a - b)
-    r = math.hypot(half, abs(q))
-    mid = 0.5 * (a + b)
-    if r == 0.0:
-        return EigenSystem(np.array([mid, mid]), np.eye(2, dtype=complex))
-    # eigenvector for the top eigenvalue mid + r; pick the better-conditioned row
-    v1 = np.array([q, r - half], dtype=complex)
-    v2 = np.array([r + half, np.conj(q)], dtype=complex)
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    v = v / np.linalg.norm(v)
-    w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-    vecs = np.column_stack([v, w])
-    return EigenSystem(np.array([mid + r, mid - r]), vecs)
-
-
-def _jacobi(h: Matrix) -> EigenSystem:
-    n = h.shape[0]
-    a = h.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, frobenius(a))
-    for _ in range(100):
-        off = math.sqrt(
-            sum(abs(a[p, q]) ** 2 for p in range(n) for q in range(n) if p != q)
-        )
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phi = math.atan2(apq.imag, apq.real)
-                w = abs(apq)
-                t = 0.5 * math.atan2(2.0 * w, a[p, p].real - a[q, q].real)
-                c, s = math.cos(t), math.sin(t)
-                e = complex(math.cos(phi), -math.sin(phi))
-                # rotation on the (p, q) plane: diag(1, e) then a real rotation
-                j2 = np.array([[c, -s], [s * e, c * e]], dtype=complex)
-                a[:, [p, q]] = a[:, [p, q]] @ j2
-                a[[p, q], :] = np.conj(j2.T) @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ j2
-    vals = np.real(np.diag(a))
-    order = np.argsort(-vals)
-    return EigenSystem(vals[order], v[:, order])
-
-
 def hermitian_eigen(h: Matrix, tol: float = PREDICATE_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi.
+    """Eigendecomposition of a Hermitian matrix by np.linalg.eigh, values
+    descending.
 
     Raises NotHermitianError if ||H - H*|| > tol * max(1, ||H||).
     """
@@ -143,13 +78,8 @@ def hermitian_eigen(h: Matrix, tol: float = PREDICATE_TOL) -> EigenSystem:
     scale = max(1.0, frobenius(h))
     if frobenius(h - np.conj(h.T)) > tol * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    hh = 0.5 * (h + np.conj(h.T))
-    n = hh.shape[0]
-    if n == 1:
-        return EigenSystem(np.array([hh[0, 0].real]), np.eye(1, dtype=complex))
-    if n == 2:
-        return _eigh_2x2(hh)
-    return _jacobi(hh)
+    vals, vecs = np.linalg.eigh(0.5 * (h + np.conj(h.T)))
+    return EigenSystem(vals[::-1], vecs[:, ::-1])
 
 
 def _lmax_hermitian(h: Matrix) -> float:
@@ -171,25 +101,9 @@ def operator_norm(m: Matrix) -> float:
 
 
 def svd(m: Matrix) -> SvdSystem:
-    """Singular value decomposition built from hermitian_eigen(M* M)."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    g = np.conj(m.T) @ m
-    es = hermitian_eigen(g, tol=1e-6)
-    sigma = np.sqrt(np.clip(es.values, 0.0, None))
-    v = es.vectors
-    cutoff = 1e-12 * max(1.0, float(sigma[0]) if n else 1.0)
-    cols: list[Vector] = []
-    for i in range(n):
-        if sigma[i] > cutoff:
-            u = (m @ v[:, i]) / sigma[i]
-            for c in cols:  # one re-orthogonalization pass
-                u = u - c * np.vdot(c, u)
-            u = u / np.linalg.norm(u)
-            cols.append(u)
-    full = orthonormal_complete(cols, dim=n) if len(cols) < n else cols
-    u_mat = np.column_stack(full)
-    return SvdSystem(u_mat, sigma, v)
+    """Singular value decomposition by np.linalg.svd."""
+    u, sigma, vh = np.linalg.svd(as_matrix(m))
+    return SvdSystem(u, sigma, np.conj(vh.T))
 
 
 def is_self_adjoint(m: Matrix, tol: float = PREDICATE_TOL) -> bool:
@@ -217,103 +131,6 @@ def is_co_isometry(m: Matrix, tol: float = PREDICATE_TOL) -> bool:
 
 def is_unitary(m: Matrix, tol: float = PREDICATE_TOL) -> bool:
     return is_isometry(m, tol) and is_co_isometry(m, tol)
-
-
-def is_positive(m: Matrix, tol: float = PREDICATE_TOL) -> bool:
-    m = as_matrix(m)
-    if not is_self_adjoint(m, tol):
-        return False
-    es = hermitian_eigen(m, tol=max(tol, 1e-8))
-    return bool(es.values[-1] >= -tol * max(1.0, frobenius(m)))
-
-
-def eigenvalues_2x2(m: Matrix) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 matrix by the stabilized quadratic formula."""
-    m = as_matrix(m)
-    if m.shape[0] != 2:
-        raise DimensionMismatchError("eigenvalues_2x2 needs a 2x2 matrix")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    sq = np.sqrt(complex(tr * tr - 4.0 * det))
-    lam1 = 0.5 * (tr + sq) if abs(tr + sq) >= abs(tr - sq) else 0.5 * (tr - sq)
-    lam2 = det / lam1 if abs(lam1) > 0 else tr - lam1
-    return complex(lam1), complex(lam2)
-
-
-def schur_2x2(m: Matrix) -> tuple[Matrix, Matrix]:
-    """Unitary U and upper triangular U* M U for a 2x2 matrix.
-
-    If M is already upper triangular within 1e-14 (relative), returns (I, M).
-    """
-    m = as_matrix(m)
-    if m.shape[0] != 2:
-        raise DimensionMismatchError("schur_2x2 needs a 2x2 matrix")
-    scale = max(1.0, frobenius(m))
-    if abs(m[1, 0]) <= 1e-14 * scale:
-        upper = m.copy()
-        upper[1, 0] = 0.0
-        return np.eye(2, dtype=complex), upper
-    lam1, _ = eigenvalues_2x2(m)
-    nil = m - lam1 * np.eye(2)
-    # null vector of (M - lam1 I) from whichever row is better conditioned
-    v1 = np.array([nil[0, 1], -nil[0, 0]], dtype=complex)
-    v2 = np.array([nil[1, 1], -nil[1, 0]], dtype=complex)
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    v = v / np.linalg.norm(v)
-    w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-    u = np.column_stack([v, w])
-    upper = np.conj(u.T) @ m @ u
-    if abs(upper[1, 0]) > 1e-12 * scale:
-        raise InternalInconsistencyError(
-            f"triangularization residual {abs(upper[1, 0])} too large"
-        )
-    upper[1, 0] = 0.0
-    return u, upper
-
-
-def conjugate(u: Matrix, t: Matrix) -> Matrix:
-    """U* T U for a unitary U (checked within 1e-10)."""
-    u = as_matrix(u)
-    t = as_matrix(t)
-    if not is_unitary(u, 1e-10):
-        raise NotUnitaryError("conjugating matrix is not unitary within 1e-10")
-    if u.shape != t.shape:
-        raise DimensionMismatchError("conjugate: shape mismatch")
-    return np.conj(u.T) @ t @ u
-
-
-def orthonormal_complete(vs: list[Vector], dim: int | None = None) -> list[Vector]:
-    """Extend pairwise-orthonormal vectors to a full orthonormal basis."""
-    vs = [np.array(v, dtype=complex).reshape(-1) for v in vs]
-    if dim is None:
-        if not vs:
-            raise DimensionMismatchError("dim required when input is empty")
-        dim = vs[0].size
-    for i, v in enumerate(vs):
-        if v.size != dim:
-            raise DimensionMismatchError("inconsistent vector dimensions")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise DependentInputError("input vectors must be unit within 1e-10")
-        for w in vs[:i]:
-            if abs(np.vdot(w, v)) > 1e-10:
-                raise DependentInputError("input vectors must be orthogonal within 1e-10")
-    basis = [v.copy() for v in vs]
-    while len(basis) < dim:
-        best, best_norm = None, -1.0
-        for k in range(dim):
-            cand = np.zeros(dim, dtype=complex)
-            cand[k] = 1.0
-            for b in basis:
-                cand = cand - b * np.vdot(b, cand)
-            nrm = float(np.linalg.norm(cand))
-            if nrm > best_norm:
-                best, best_norm = cand, nrm
-        assert best is not None
-        best = best / best_norm
-        for b in basis:  # second pass for orthogonality at 1e-12
-            best = best - b * np.vdot(b, best)
-        basis.append(best / np.linalg.norm(best))
-    return basis
 
 
 def normal_eigen(t: Matrix, tol: float = PREDICATE_TOL) -> tuple[np.ndarray, Matrix]:

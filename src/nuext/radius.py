@@ -217,13 +217,11 @@ def radius_sweep(t: Matrix, cfg: SweepConfig | None = None) -> RadiusReport:
         return RadiusReport(0.0, [], [], "sweep")
     re, im, t_star, f_star, pairs = _sweep(t, cfg, scale)
     w = float(np.max(f_star))
-    stars: list[tuple[float, int]] = []
-    for k in np.nonzero(f_star >= w - cfg.dedup_tol * max(1.0, scale))[0]:
-        th = float(np.mod(t_star[k], TWO_PI))
-        if all(_circ_dist(th, s) > cfg.dedup_tol for s, _ in stars):
-            stars.append((th, int(k)))
-    stars.sort()
-    maximizers: list[np.ndarray] = []
+    cand = np.nonzero(f_star >= w - cfg.dedup_tol * max(1.0, scale))[0]
+    angles = np.mod(t_star[cand], TWO_PI)
+    keep = _greedy_keep(angles, _circ_dist, cfg.dedup_tol)
+    stars = sorted((float(angles[i]), int(cand[i])) for i in keep)
+    vecs: list[np.ndarray] = []
     for th, k in stars:
         if pairs is None:
             es = hermitian_eigen(math.cos(th) * re - math.sin(th) * im, tol=1e-6)
@@ -235,15 +233,26 @@ def radius_sweep(t: Matrix, cfg: SweepConfig | None = None) -> RadiusReport:
             # keep the whole top eigenspace when it is degenerate
             if values[0] - values[i] > 1e-9 * max(1.0, scale):
                 break
-            x = _canonical_phase(vectors[:, i])
-            if all(np.linalg.norm(x - m) > cfg.dedup_tol for m in maximizers):
-                maximizers.append(x)
+            vecs.append(_canonical_phase(vectors[:, i]))
+    xs = np.array(vecs)
+    keep = _greedy_keep(xs, lambda a, b: np.linalg.norm(a - b, axis=-1), cfg.dedup_tol)
+    maximizers = [xs[i] for i in keep]
     return RadiusReport(w, [th for th, _ in stars], maximizers, "sweep")
 
 
-def _circ_dist(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _circ_dist(a, b):
+    d = np.abs(a - b) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
+
+
+def _greedy_keep(items: np.ndarray, dist, tol: float) -> list[int]:
+    """Indices of the items a greedy pass in order keeps: an item is dropped
+    when dist puts it within tol of an item already kept."""
+    keep: list[int] = []
+    for i in range(len(items)):
+        if not keep or np.all(dist(items[keep], items[i]) > tol):
+            keep.append(i)
+    return keep
 
 
 def radius_sample(t: Matrix, n_samples: int, seed: int = 42) -> float:
@@ -290,16 +299,12 @@ def range_boundary(t: Matrix, n_points: int) -> list[complex]:
     t = as_matrix(t)
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
-    re = real_part(t)
-    im = imag_part(t)
-    pts: list[complex] = []
-    for k in range(n_points):
-        th = TWO_PI * k / n_points
-        h_mat = math.cos(th) * re - math.sin(th) * im
-        es = hermitian_eigen(h_mat, tol=1e-6)
-        x = es.vectors[:, 0]
-        pts.append(complex(np.vdot(x, t @ x)))
-    return pts
+    thetas = TWO_PI * np.arange(n_points) / n_points
+    c = np.cos(thetas)[:, None, None]
+    s = np.sin(thetas)[:, None, None]
+    xs = np.linalg.eigh(c * real_part(t) - s * imag_part(t))[1][:, :, -1]
+    pts = np.einsum("ki,ij,kj->k", np.conj(xs), t, xs)
+    return [complex(p) for p in pts]
 
 
 def maximizer_condition_residual(t: Matrix, x: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     WrongSpectrumError,
     ZeroParameterError,
 )
-from .linalg import Matrix, as_matrix, frobenius, is_isometry, operator_norm, svd
+from .linalg import Matrix, as_matrix, frobenius, is_isometry, svd
 from .radius import RadiusReport, radius_sweep, radius_value
 
 
@@ -111,12 +111,12 @@ def kadison_split(t: Matrix, tol: float = 1e-7) -> Witness:
     with delta = 1 - sigma_k, so both parts keep norm (hence radius) <= 1.
     """
     t = as_matrix(t)
-    nrm = operator_norm(t)
+    sv = svd(t)
+    nrm = float(sv.sigma[0])
     if abs(nrm - radius_value(t)) > tol * max(1.0, nrm):
         raise NotNormaloidError("kadison_split needs w(T) = ||T||")
     if abs(nrm - 1.0) > tol:
         raise NotNormaloidError("kadison_split expects the input scaled to w = 1")
-    sv = svd(t)
     k = int(np.argmin(sv.sigma))
     if sv.sigma[k] >= 1.0 - tol:
         raise IsUnitaryError("all singular values are 1; no room to split")
@@ -259,12 +259,11 @@ def block_upper_split(lambda1: complex, lambda2: complex, a_block: Matrix) -> Wi
     depends on A only through ||A||, so both parts keep the same radius.
     """
     a_block = as_matrix(a_block)
-    nrm = operator_norm(a_block)
-    if abs(nrm - 1.0) > 1e-9:
+    sv = svd(a_block)
+    if abs(float(sv.sigma[0]) - 1.0) > 1e-9:
         raise ValueError("corner block must have norm 1")
     if is_isometry(a_block, 1e-7):
         raise IsIsometryError("corner block is an isometry; the split has no room")
-    sv = svd(a_block)
     k = int(np.argmin(sv.sigma))
     delta = 1.0 - float(sv.sigma[k])
     bump = delta * np.outer(sv.U[:, k], np.conj(sv.V[:, k]))

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from nuext.linalg import operator_norm, random_complex_matrix, random_unitary
 from nuext.radius import (
+    TWO_PI,
     SweepConfig,
+    _circ_dist,
+    _greedy_keep,
     is_normaloid,
     maximizer_condition_residual,
     maximizer_contains_on_basis,
@@ -55,6 +58,34 @@ def test_degenerate_top_eigenspace_scalar():
     assert np.linalg.norm(xs.conj() @ xs.T - np.eye(len(xs))) <= 1e-12
     for x in rep.maximizers:
         assert abs(abs(np.vdot(x, 2.0 * x)) - 2.0) <= 1e-12
+
+
+def test_greedy_dedup_matches_pairwise_loop():
+    # the vectorized dedup keeps exactly what a pairwise Python loop keeps
+    rng = np.random.default_rng(11)
+    tol = 1e-8
+
+    def loop_keep(items, dist):
+        keep = []
+        for i in range(len(items)):
+            if all(dist(items[i], items[j]) > tol for j in keep):
+                keep.append(i)
+        return keep
+
+    def circ(a, b):
+        d = abs(a - b) % TWO_PI
+        return min(d, TWO_PI - d)
+
+    # clusters straddling tol, one of them across the 0 / 2 pi seam
+    centers = rng.choice([0.0, 1.0, 2.5, 4.0], 400)
+    angles = np.mod(centers + rng.uniform(-3.0, 3.0, 400) * tol, TWO_PI)
+    assert _greedy_keep(angles, _circ_dist, tol) == loop_keep(angles, circ)
+    bases = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    jitter = rng.standard_normal((400, 3)) + 1j * rng.standard_normal((400, 3))
+    jitter *= rng.uniform(0.0, 3.0, (400, 1)) * tol / np.linalg.norm(jitter, axis=1)[:, None]
+    xs = bases[rng.integers(0, 4, 400)] + jitter
+    got = _greedy_keep(xs, lambda a, b: np.linalg.norm(a - b, axis=-1), tol)
+    assert got == loop_keep(xs, lambda a, b: np.linalg.norm(a - b))
 
 
 def _johnson_enclosure(t, points=4096):
